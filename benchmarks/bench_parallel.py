@@ -30,13 +30,12 @@ import time
 import pytest
 
 from repro.cache.cache import CacheConfig
-from repro.evalharness.artifacts import ArtifactCache
-from repro.evalharness.experiment import evaluate_trace_multi, run_benchmark
+from repro.evalharness.artifacts import ArtifactCache, run_program
+from repro.evalharness.experiment import evaluate_trace, run_benchmark
 from repro.evalharness.figure5 import figure5_options
 from repro.evalharness.parallel import EvalUnit, run_units
 from repro.programs import BENCHMARK_NAMES, get_benchmark
 from repro.unified.pipeline import compile_source
-from repro.vm.memory import RecordingMemory
 
 SWEEP_SIZES = (64, 128, 256, 512)
 
@@ -125,19 +124,14 @@ def staged_timings(options):
     compile_seconds = time.perf_counter() - compile_started
 
     trace_started = time.perf_counter()
-    traced = {}
-    for name, program in programs.items():
-        memory = RecordingMemory()
-        result = program.run(memory=memory)
-        traced[name] = (memory.buffer, result)
+    artifacts = [
+        run_program(name, program) for name, program in programs.items()
+    ]
     trace_seconds = time.perf_counter() - trace_started
 
     replay_started = time.perf_counter()
-    for name, (trace, result) in traced.items():
-        evaluate_trace_multi(
-            name, programs[name], trace, result.output, result.steps,
-            GEOMETRIES,
-        )
+    for artifact in artifacts:
+        evaluate_trace(artifact, GEOMETRIES)
     replay_seconds = time.perf_counter() - replay_started
     return {
         "compile_seconds": round(compile_seconds, 3),

@@ -603,7 +603,7 @@ def _run_general(profile, iterator, num_sets, assoc_cap, write_policy):
 # ----------------------------------------------------------------------
 
 
-def replay_trace_sweep(trace, specs, columns=None, engine=None):
+def replay_trace_sweep(trace, specs, columns=None, engine="auto"):
     """Score every spec of a sweep, one-pass where the math allows.
 
     ``specs`` mixes :class:`~repro.cache.cache.CacheConfig` and
@@ -627,17 +627,12 @@ def replay_trace_sweep(trace, specs, columns=None, engine=None):
     everything else exactly like ``auto`` — fallback, not failure —
     ``"multi"`` skips one-pass engines entirely, ``"auto"`` routes per
     spec, preferring the vectorized kernels when NumPy is available.
-    When left ``None`` the ``REPRO_SWEEP_ENGINE`` environment
-    variable picks the engine (the CI golden-pin job forces each in
-    turn this way), defaulting to ``auto``.
+    Forcing is for the differential fuzzer and the tests; production
+    callers leave ``engine`` at ``"auto"``.
     """
-    import os
-
     from repro.cache.replay import MinConfig, replay_trace_multi
 
     specs = list(specs)
-    if engine is None:
-        engine = os.environ.get("REPRO_SWEEP_ENGINE", "auto")
     if engine not in ("auto", "stackdist", "vectorized", "multi"):
         raise ValueError("unknown sweep engine {!r}".format(engine))
     if engine == "multi":

@@ -49,11 +49,9 @@ The result is a :class:`repro.cache.stackdist.StackDistanceProfile`
 whose every field is bit-identical to :func:`profile_pass` — the
 reconstruction arithmetic in ``stats_for`` is shared, so equal
 profiles mean equal :class:`~repro.cache.stats.CacheStats`.  Without
-NumPy the pure-Python twin scores each partitioned set with the same
-offline/fallback split, scalar-wise, to identical results.  Geometry
-outside the kernel's comfort zone (associativity caps above
-``VECTOR_ASSOC_CAP_LIMIT``) falls back to :func:`profile_pass` —
-fallback, never failure.  ``docs/PERFORMANCE.md`` ("The set-major
+NumPy, or above the kernel's comfort zone (associativity caps above
+``VECTOR_ASSOC_CAP_LIMIT``), the pass delegates to :func:`profile_pass`
+— fallback, never failure.  ``docs/PERFORMANCE.md`` ("The set-major
 vectorized kernel") has the derivation and measured speedups.
 """
 
@@ -65,12 +63,10 @@ except Exception:  # pragma: no cover - exercised off-image
 from repro.cache.semantics import (
     EV_BYPASS_READ,
     EV_BYPASS_READ_KILL,
-    EV_BYPASS_WRITE,
     EV_KILL_READ,
     EV_KILL_WRITE,
     EV_PLAIN_READ,
     EV_PLAIN_WRITE,
-    collapse_runs,
     collapse_runs_sorted,
     flavor_decode as _flavor_decode,
 )
@@ -99,28 +95,23 @@ def vector_profile_pass(columns, flavor, num_sets, assoc_cap,
     bit-identical field by field to the scalar profiler.  ``order`` is
     an optional pre-computed set-major partition
     (:meth:`TraceBuffer.set_partition`); ``info``, when a dict, is
-    populated with ``kernel`` (``"numpy"``/``"python"``/
-    ``"stackdist"``), ``offline_sets`` and ``fallback_sets`` for
-    benchmarks and tests.
+    populated with ``kernel`` (``"numpy"``, or ``"stackdist"`` when
+    the pass delegates to :func:`profile_pass`), ``offline_sets`` and
+    ``fallback_sets`` for benchmarks and tests.
     """
-    if assoc_cap > VECTOR_ASSOC_CAP_LIMIT:
-        if info is not None:
-            info["kernel"] = "stackdist"
-        return profile_pass(columns, flavor, num_sets, assoc_cap,
-                            decoded=decoded)
-
-    line_words, _hb, _hk, write_policy = flavor
     stream = decoded
     if stream is None:
         stream = _flavor_decode(columns, flavor)
+    if (assoc_cap > VECTOR_ASSOC_CAP_LIMIT or _np is None
+            or stream.blocks_np is None):
+        if info is not None:
+            info["kernel"] = "stackdist"
+        return profile_pass(columns, flavor, num_sets, assoc_cap,
+                            decoded=stream)
+
+    line_words, _hb, _hk, write_policy = flavor
     profile = _fresh_profile(stream, flavor, num_sets, assoc_cap)
 
-    if _np is None or stream.blocks_np is None:
-        if info is not None:
-            info["kernel"] = "python"
-        _vector_profile_pass_py(profile, stream, num_sets, assoc_cap,
-                                write_policy, info)
-        return profile
     if info is not None:
         info["kernel"] = "numpy"
     _vector_profile_pass_np(profile, stream, num_sets, assoc_cap,
@@ -382,128 +373,3 @@ def _add_list(target, counts):
     for i, value in enumerate(counts.tolist()):
         if value:
             target[i] += value
-
-
-# ----------------------------------------------------------------------
-# The pure-Python twin
-# ----------------------------------------------------------------------
-
-
-def _vector_profile_pass_py(profile, stream, num_sets, assoc_cap,
-                            write_policy, info):
-    """Scalar twin: same partition, same offline/fallback split.
-
-    Each set's collapsed events are scored by an offline recency-list
-    walk (probes may only miss); the first mutating event aborts the
-    set untouched and routes it through the hole automaton.
-    """
-    runs = collapse_runs(stream.blocks_list, stream.types_list, num_sets)
-    profile.collapsed_hits = runs.collapsed if runs is not None else 0
-    if runs is None:
-        triples = [
-            (b, t, False)
-            for b, t in zip(stream.blocks_list, stream.types_list)
-        ]
-    else:
-        triples = [
-            (stream.blocks_list[i], stream.types_list[i], w)
-            for i, w in zip(runs.indices_list, runs.run_writes)
-        ]
-
-    by_set = {}
-    for triple in triples:
-        by_set.setdefault(triple[0] % num_sets, []).append(triple)
-
-    offline = 0
-    fallback = []
-    for set_index in sorted(by_set):
-        events = by_set[set_index]
-        if _offline_set_clean(events, assoc_cap):
-            _score_offline_set(profile, events, assoc_cap, write_policy)
-            offline += 1
-        else:
-            fallback.append(set_index)
-    if fallback:
-        flat = []
-        for set_index in fallback:
-            flat.extend(by_set[set_index])
-        _run_general(profile, iter(flat), num_sets, assoc_cap, write_policy)
-    if info is not None:
-        info["offline_sets"] = offline
-        info["fallback_sets"] = len(fallback)
-
-
-def _offline_set_clean(events, assoc_cap):
-    """True iff no event of the set mutates the recency state."""
-    rec = []
-    for block, etype, _fw in events:
-        if etype <= EV_PLAIN_WRITE:
-            try:
-                rec.remove(block)
-            except ValueError:
-                pass
-            rec.insert(0, block)
-            if len(rec) > assoc_cap:
-                rec.pop()
-        elif etype == EV_KILL_WRITE or block in rec:
-            return False
-    return True
-
-
-def _score_offline_set(profile, events, assoc_cap, write_policy):
-    """Mutation-free set walk: ``_run_plain`` plus probe misses."""
-    writeback = write_policy == "writeback"
-    clean = assoc_cap + 1
-    miss_bucket = assoc_cap + 1
-    stack = []
-    hist_cr = profile.hist_cached_read
-    hist_cw = profile.hist_cached_write
-    shift_prefix = profile.shift_prefix
-    wb_hist = profile.wb_hist
-
-    for block, etype, follower_wrote in events:
-        if etype > EV_PLAIN_WRITE:
-            if etype == EV_KILL_READ:
-                profile.hist_kill_read[miss_bucket] += 1
-            elif etype != EV_BYPASS_WRITE:
-                profile.hist_bypass_read[miss_bucket] += 1
-            continue
-        is_write = etype == EV_PLAIN_WRITE
-        pos = 0
-        for idx, entry in enumerate(stack):
-            if entry[0] == block:
-                pos = idx + 1
-                break
-        if pos == 1:
-            if writeback and (is_write or follower_wrote):
-                stack[0][1] = 1
-            (hist_cw if is_write else hist_cr)[1] += 1
-            continue
-        if pos:
-            entry = stack[pos - 1]
-            shift_prefix[pos - 1] += 1
-            if writeback:
-                for q in range(pos - 1):
-                    if stack[q][1] <= q + 1:
-                        wb_hist[q + 1] += 1
-                if is_write or follower_wrote:
-                    entry[1] = 1
-                elif entry[1] < pos:
-                    entry[1] = pos
-            del stack[pos - 1]
-            stack.insert(0, entry)
-            (hist_cw if is_write else hist_cr)[pos] += 1
-        else:
-            depth = len(stack)
-            shift_prefix[depth] += 1
-            if writeback:
-                for q in range(depth):
-                    if stack[q][1] <= q + 1:
-                        wb_hist[q + 1] += 1
-            if depth == assoc_cap:
-                del stack[-1]
-            stack.insert(0, [
-                block,
-                1 if (is_write or follower_wrote) and writeback else clean,
-            ])
-            (hist_cw if is_write else hist_cr)[miss_bucket] += 1

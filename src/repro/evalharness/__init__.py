@@ -3,12 +3,16 @@ evaluation (Figure 5 and the in-text claims) plus the ablations that
 probe each design decision.
 """
 
-from repro.evalharness.artifacts import Artifact, ArtifactCache, artifact_key
+from repro.evalharness.artifacts import (
+    Artifact,
+    ArtifactCache,
+    artifact_key,
+    resolve_artifact,
+)
 from repro.evalharness.experiment import (
     DEFAULT_CACHE,
     ExperimentResult,
     evaluate_trace,
-    evaluate_trace_multi,
     run_benchmark,
     run_compiled,
 )
@@ -42,13 +46,13 @@ __all__ = [
     "Artifact",
     "ArtifactCache",
     "artifact_key",
+    "resolve_artifact",
     "DEFAULT_CACHE",
     "ExperimentResult",
     "EvalUnit",
     "Journal",
     "Supervisor",
     "evaluate_trace",
-    "evaluate_trace_multi",
     "evaluate_unit",
     "run_benchmark",
     "run_compiled",

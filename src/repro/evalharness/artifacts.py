@@ -163,6 +163,49 @@ class Artifact:
         self.from_cache = from_cache
 
 
+def run_program(name, program, key=None):
+    """Run a compiled program once on a recording memory.
+
+    The returned :class:`Artifact` carries the reference trace, the
+    printed output and the step count; its output is not checked.
+    """
+    memory = RecordingMemory()
+    result = program.run(memory=memory)
+    return Artifact(key, name, program, memory.buffer, tuple(result.output),
+                    result.steps, from_cache=False)
+
+
+def check_output(artifact, expected_output):
+    """Return ``artifact``, or raise :class:`VMError` when its output
+    differs from ``expected_output`` (``None`` skips the check)."""
+    if expected_output is not None and artifact.output != tuple(
+        expected_output
+    ):
+        raise VMError(
+            "benchmark {} produced {} instead of {}".format(
+                artifact.name, list(artifact.output), list(expected_output)
+            )
+        )
+    return artifact
+
+
+def resolve_artifact(name, source, options=None, expected_output=None,
+                     store=None):
+    """Benchmark source → checked :class:`Artifact`, the one way.
+
+    With ``store`` (an :class:`ArtifactCache`) this is
+    :meth:`ArtifactCache.resolve`; without one the source is compiled
+    and traced in-process.  Either way an output that differs from
+    ``expected_output`` raises :class:`VMError`.
+    """
+    if store is not None:
+        return store.resolve(name, source, options,
+                             expected_output=expected_output)
+    return check_output(
+        run_program(name, compile_source(source, options)), expected_output
+    )
+
+
 class _StoreGeometry:
     """The store viewed as one fully-associative cache set, so the
     :mod:`repro.cache.semantics` replacement policies can pick eviction
@@ -232,14 +275,14 @@ class ArtifactCache:
         is recomputed and stored.  A store failure (disk full, injected
         ``OSError``) is counted and swallowed — the computed artifact
         is still returned, the cache just stays cold for that key.
-        ``expected_output`` is enforced on both paths, matching
-        ``run_compiled``'s guard.
+        ``expected_output`` is enforced on both paths by
+        :func:`check_output`.
         """
         options = (options or CompilationOptions()).normalized()
         key = artifact_key(source, options)
         artifact = self._load(key, name)
         if artifact is None:
-            artifact = self._compute(key, name, source, options)
+            artifact = run_program(name, compile_source(source, options), key)
             try:
                 self._store(artifact)
             except OSError:
@@ -247,15 +290,7 @@ class ArtifactCache:
             self.misses += 1
         else:
             self.hits += 1
-        if expected_output is not None and artifact.output != tuple(
-            expected_output
-        ):
-            raise VMError(
-                "benchmark {} produced {} instead of {}".format(
-                    name, list(artifact.output), list(expected_output)
-                )
-            )
-        return artifact
+        return check_output(artifact, expected_output)
 
     def clear(self):
         """Delete every stored artifact under this root."""
@@ -380,20 +415,6 @@ class ArtifactCache:
 
     def _entry_dir(self, key):
         return os.path.join(self.root, key[:2], key)
-
-    def _compute(self, key, name, source, options):
-        program = compile_source(source, options)
-        memory = RecordingMemory()
-        result = program.run(memory=memory)
-        return Artifact(
-            key,
-            name,
-            program,
-            memory.buffer,
-            tuple(result.output),
-            result.steps,
-            from_cache=False,
-        )
 
     # -- load ----------------------------------------------------------
 

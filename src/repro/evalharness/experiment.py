@@ -7,22 +7,26 @@ which yields exactly the reference stream conventional code would
 produce, since annotations never change the instruction sequence —
 ``tests/test_pipeline.py`` locks that invariant).
 
-The evaluation half is factored out of the execution half
-(:func:`evaluate_trace`, :func:`evaluate_trace_multi`) so the
-compile-once/trace-once engine (:mod:`repro.evalharness.parallel`) can
-resolve a stored artifact and score any number of cache geometries
-against it without touching the compiler or the VM again.
+The execution half — benchmark source to checked trace — is
+:func:`~repro.evalharness.artifacts.resolve_artifact`; the evaluation
+half is :func:`evaluate_trace`, so the compile-once/trace-once engine
+(:mod:`repro.evalharness.parallel`) can resolve a stored artifact and
+score any number of cache geometries against it without touching the
+compiler or the VM again.
 """
 
 from dataclasses import dataclass, field
 
 from repro.cache.cache import CacheConfig
-from repro.cache.replay import MinConfig, replay_trace, replay_trace_multi
+from repro.cache.replay import replay_trace
 from repro.cache.stackdist import replay_trace_sweep
-from repro.lang.errors import VMError
+from repro.evalharness.artifacts import (
+    check_output,
+    resolve_artifact,
+    run_program,
+)
 from repro.programs import get_benchmark
-from repro.unified.pipeline import CompilationOptions, compile_source
-from repro.vm.memory import RecordingMemory
+from repro.unified.pipeline import CompilationOptions
 
 #: The default simulated data cache: 256 words on chip (the paper's
 #: "typical cache implemented on the processor chip contains 128 to 256
@@ -123,92 +127,47 @@ def _static_bypass_checked(program, cache_config):
         return None  # geometry outside the model
 
 
-def evaluate_trace(
-    name,
-    program,
-    trace,
-    output,
-    steps,
-    cache_config=DEFAULT_CACHE,
-    keep_trace=False,
-):
-    """Score one recorded trace under one cache geometry.
+def evaluate_trace(artifact, cache_configs=(DEFAULT_CACHE,),
+                   keep_trace=False):
+    """Score one traced :class:`~repro.evalharness.artifacts.Artifact`
+    under each geometry of ``cache_configs``.
 
-    This is the reference evaluation path: it replays through the
-    online :class:`~repro.cache.cache.Cache` exactly as the original
-    serial harness did, so any source of the ``(program, trace)`` pair
-    — a fresh VM run or an artifact-cache hit — produces bit-identical
-    :class:`ExperimentResult` values.
-    """
-    unified_stats = replay_trace(trace, cache_config)
-    conventional_stats = replay_trace(trace, conventional_config(cache_config))
-    return ExperimentResult(
-        name=name,
-        options=program.options,
-        cache_config=cache_config,
-        static=program.static,
-        dynamic=trace.summary(),
-        unified_stats=unified_stats,
-        conventional_stats=conventional_stats,
-        output=tuple(output),
-        steps=steps,
-        trace=trace if keep_trace else None,
-        static_bypass_checked=_static_bypass_checked(program, cache_config),
-    )
-
-
-def evaluate_trace_multi(
-    name,
-    program,
-    trace,
-    output,
-    steps,
-    cache_configs,
-    keep_trace=False,
-    engine=None,
-):
-    """Score one recorded trace under many cache geometries at once.
-
-    The unified and conventional replays of every geometry run through
-    the sweep dispatcher
-    (:func:`~repro.cache.stackdist.replay_trace_sweep`): LRU
-    geometries are scored by the one-pass stack-distance profiler
-    (vectorized when NumPy is importable), everything else by the
-    single-pass multi-configuration core
-    (:func:`~repro.cache.replay.replay_trace_multi`) — and the dynamic
-    summary is computed once and shared; the per-geometry results are
-    bit-identical to calling :func:`evaluate_trace` per config (the
-    equivalence battery asserts exactly that).  ``engine`` forces a
-    sweep engine (``auto``/``stackdist``/``vectorized``/``multi``);
-    ``None`` defers to ``REPRO_SWEEP_ENGINE`` or auto-selection.
+    Returns one :class:`ExperimentResult` per geometry, in order.  Any
+    source of the artifact — a fresh VM run or an artifact-store hit —
+    gives bit-identical results, and so does either replay route.
     """
     specs = []
     for cache_config in cache_configs:
         specs.append(cache_config)
         specs.append(conventional_config(cache_config))
-    stats = replay_trace_sweep(trace, specs, engine=engine)
-    summary = trace.summary()
-    output = tuple(output)
-    results = []
-    for index, cache_config in enumerate(cache_configs):
-        results.append(
-            ExperimentResult(
-                name=name,
-                options=program.options,
-                cache_config=cache_config,
-                static=program.static,
-                dynamic=dict(summary),
-                unified_stats=stats[2 * index],
-                conventional_stats=stats[2 * index + 1],
-                output=output,
-                steps=steps,
-                trace=trace if keep_trace else None,
-                static_bypass_checked=_static_bypass_checked(
-                    program, cache_config
-                ),
-            )
+    if len(cache_configs) == 1:
+        # A single geometry replays per event.  Forcing Figure 5's six
+        # one-geometry units through the sweep dispatcher cut its wall
+        # time from 3.2 s to 2.0 s but doubled peak RSS (40 MB to
+        # 79 MB): towers' unified vectorized pass alone allocates
+        # 33 MB transiently, against 0.1 MB for per-event replay.
+        stats = [replay_trace(artifact.trace, spec) for spec in specs]
+    else:
+        stats = replay_trace_sweep(artifact.trace, specs)
+    summary = artifact.trace.summary()
+    return [
+        ExperimentResult(
+            name=artifact.name,
+            options=artifact.program.options,
+            cache_config=cache_config,
+            static=artifact.program.static,
+            dynamic=dict(summary),
+            unified_stats=stats[2 * index],
+            conventional_stats=stats[2 * index + 1],
+            output=artifact.output,
+            steps=artifact.steps,
+            trace=artifact.trace if keep_trace else None,
+            static_bypass_checked=_static_bypass_checked(
+                artifact.program, cache_config
+            ),
         )
-    return results
+        for index, cache_config in enumerate(cache_configs)
+    ]
 
 
 def run_compiled(
@@ -219,25 +178,8 @@ def run_compiled(
     keep_trace=False,
 ):
     """Trace an already-compiled program and simulate both schemes."""
-    memory = RecordingMemory()
-    result = program.run(memory=memory)
-    if expected_output is not None and tuple(result.output) != tuple(
-        expected_output
-    ):
-        raise VMError(
-            "benchmark {} produced {} instead of {}".format(
-                name, result.output, list(expected_output)
-            )
-        )
-    return evaluate_trace(
-        name,
-        program,
-        memory.buffer,
-        tuple(result.output),
-        result.steps,
-        cache_config=cache_config,
-        keep_trace=keep_trace,
-    )
+    artifact = check_output(run_program(name, program), expected_output)
+    return evaluate_trace(artifact, (cache_config,), keep_trace)[0]
 
 
 def run_benchmark(
@@ -257,27 +199,6 @@ def run_benchmark(
     bit-identical to the direct path.
     """
     bench = get_benchmark(name, paper_scale)
-    if artifact_cache is not None:
-        artifact = artifact_cache.resolve(
-            bench.name,
-            bench.source,
-            options or CompilationOptions(),
-            expected_output=bench.expected_output,
-        )
-        return evaluate_trace(
-            bench.name,
-            artifact.program,
-            artifact.trace,
-            artifact.output,
-            artifact.steps,
-            cache_config=cache_config,
-            keep_trace=keep_trace,
-        )
-    program = compile_source(bench.source, options or CompilationOptions())
-    return run_compiled(
-        bench.name,
-        program,
-        expected_output=bench.expected_output,
-        cache_config=cache_config,
-        keep_trace=keep_trace,
-    )
+    artifact = resolve_artifact(bench.name, bench.source, options,
+                                bench.expected_output, store=artifact_cache)
+    return evaluate_trace(artifact, (cache_config,), keep_trace)[0]

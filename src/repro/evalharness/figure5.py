@@ -79,7 +79,6 @@ def figure5_table(
     jobs=None,
     artifact_cache=None,
     journal=None,
-    engine=None,
 ):
     """Run the full Figure 5 experiment; returns a list of rows plus
     an average row.
@@ -91,10 +90,6 @@ def figure5_table(
     (:mod:`repro.evalharness.parallel`); the rows are bit-identical to
     the serial path either way.  ``journal`` (a path) checkpoints
     completed benchmarks so a killed run resumes where it left off.
-    ``engine`` pins the replay engine
-    (``auto``/``stackdist``/``vectorized``/``multi``) for every unit;
-    ``None`` defers to ``REPRO_SWEEP_ENGINE`` / auto-selection.  All
-    engines produce bit-identical rows.
     """
     from repro.evalharness.parallel import EvalUnit, run_units
 
@@ -106,7 +101,6 @@ def figure5_table(
             paper_scale=paper_scale,
             options=options,
             cache_configs=(cache_config,),
-            engine=engine,
         )
         for name in names
     ]

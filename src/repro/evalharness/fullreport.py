@@ -7,7 +7,6 @@ with the paper's expectations alongside the measured values.
 """
 
 import argparse
-import os
 import sys
 import time
 from dataclasses import replace
@@ -19,6 +18,7 @@ from repro.cache.timing import (
     access_time_speedup,
     value_reference_time,
 )
+from repro.evalharness.artifacts import resolve_artifact
 from repro.evalharness.figure5 import (
     average_row,
     figure5_table,
@@ -33,9 +33,8 @@ from repro.evalharness.sweeps import (
 from repro.evalharness.tables import format_table
 from repro.evalharness.unifiedcache import unified_cache_comparison
 from repro.programs import BENCHMARK_NAMES, get_benchmark
-from repro.unified.pipeline import CompilationOptions, compile_source
+from repro.unified.pipeline import CompilationOptions
 from repro.vm.machine import set_default_max_steps
-from repro.vm.memory import RecordingMemory
 
 
 def _heading(text):
@@ -43,12 +42,10 @@ def _heading(text):
 
 
 def figure5_section(paper_scale, failures=None, cache_config=DEFAULT_CACHE,
-                    jobs=None, artifact_cache=None, journal=None,
-                    engine=None):
+                    jobs=None, artifact_cache=None, journal=None):
     rows = figure5_table(
         paper_scale=paper_scale, cache_config=cache_config, failures=failures,
         jobs=jobs, artifact_cache=artifact_cache, journal=journal,
-        engine=engine,
     )
     if not rows:
         return "\n".join(
@@ -364,18 +361,9 @@ def _access_time_row(name, model, artifact_cache=None):
                             bypass_user_refs=False),
          True),
     ):
-        if artifact_cache is not None:
-            artifact = artifact_cache.resolve(
-                bench.name, bench.source, options,
-                expected_output=bench.expected_output,
-            )
-            trace = artifact.trace
-        else:
-            program = compile_source(bench.source, options)
-            memory = RecordingMemory()
-            result = program.run(memory=memory)
-            assert tuple(result.output) == bench.expected_output
-            trace = memory.buffer
+        trace = resolve_artifact(bench.name, bench.source, options,
+                                 bench.expected_output,
+                                 store=artifact_cache).trace
         stats = replay_trace(
             trace,
             CacheConfig(honor_bypass=honor, honor_kill=honor),
@@ -422,8 +410,7 @@ def access_time_section(failures=None, artifact_cache=None):
 def build_report(paper_scale=False, fast=False, failures=None,
                  cache_config=DEFAULT_CACHE, jobs=None, artifact_cache=None,
                  hierarchy=None, hierarchy_benchmarks=None, journal=None,
-                 policy_zoo=False, engine=None, multicore=None,
-                 partition="umon"):
+                 policy_zoo=False, multicore=None, partition="umon"):
     """Assemble the report string.
 
     With ``failures`` (a list), a section or benchmark that breaks is
@@ -431,10 +418,8 @@ def build_report(paper_scale=False, fast=False, failures=None,
     not cost the other results.  Without it, errors propagate.
     ``jobs`` fans the Figure 5 benchmarks out over worker processes;
     ``artifact_cache`` routes every compile+trace through the on-disk
-    store.  ``engine`` pins the trace-replay engine for the Figure 5
-    units (the other sections honor ``REPRO_SWEEP_ENGINE``, which the
-    CLI exports alongside the flag).  The report text is byte-identical
-    either way (only the trailing wall-clock line differs).
+    store.  The report text is byte-identical either way (only the
+    trailing wall-clock line differs).
     """
     started = time.time()
     section_builders = [
@@ -442,7 +427,7 @@ def build_report(paper_scale=False, fast=False, failures=None,
          lambda: figure5_section(paper_scale, failures=failures,
                                  cache_config=cache_config, jobs=jobs,
                                  artifact_cache=artifact_cache,
-                                 journal=journal, engine=engine)),
+                                 journal=journal)),
         ("kill-bits", lambda: kill_section(artifact_cache=artifact_cache)),
         ("spill", lambda: spill_section(artifact_cache=artifact_cache)),
     ]
@@ -564,17 +549,7 @@ def main(argv=None):
                         help="add the E17 predictive-replacement zoo "
                              "section ({policy} x {conventional, unified} "
                              "hit ratios on every benchmark)")
-    parser.add_argument("--engine", default=None,
-                        choices=["auto", "stackdist", "vectorized", "multi"],
-                        help="pin the trace-replay engine (default: "
-                             "$REPRO_SWEEP_ENGINE or auto-selection; all "
-                             "engines are bit-identical, so this only "
-                             "affects speed)")
     args = parser.parse_args(argv)
-    if args.engine:
-        # Export it too so worker processes and the non-figure5
-        # sections (ablation sweeps, hierarchy, policy zoo) honor it.
-        os.environ["REPRO_SWEEP_ENGINE"] = args.engine
     set_default_max_steps(args.max_steps)
     cache_config = DEFAULT_CACHE
     if args.seed is not None:
@@ -601,7 +576,6 @@ def main(argv=None):
                        hierarchy_benchmarks=args.hierarchy_benchmarks,
                        journal=args.journal,
                        policy_zoo=args.policy_zoo,
-                       engine=args.engine,
                        multicore=multicore,
                        partition=args.partition))
     if failures:

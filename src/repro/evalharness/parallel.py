@@ -51,15 +51,11 @@ from repro.evalharness.artifacts import (
     ARTIFACT_SCHEMA,
     ArtifactCache,
     options_fingerprint,
+    resolve_artifact,
 )
-from repro.evalharness.experiment import (
-    DEFAULT_CACHE,
-    evaluate_trace,
-    evaluate_trace_multi,
-)
+from repro.evalharness.experiment import DEFAULT_CACHE, evaluate_trace
 from repro.programs import get_benchmark
-from repro.unified.pipeline import CompilationOptions, compile_source
-from repro.vm.memory import RecordingMemory
+from repro.unified.pipeline import CompilationOptions
 
 #: Environment overrides for the supervisor defaults.
 TIMEOUT_ENV = "REPRO_UNIT_TIMEOUT"
@@ -71,14 +67,9 @@ class EvalUnit:
     """One (benchmark × annotation-config) work item.
 
     ``cache_configs`` lists every geometry to score against the unit's
-    single reference trace; one entry uses the reference serial replay
-    path, several share the single-pass multi-configuration core.
-    ``engine`` pins the sweep engine for this unit
-    (``auto``/``stackdist``/``vectorized``/``multi``); ``None`` defers
-    to ``REPRO_SWEEP_ENGINE`` / auto-selection.  All engines are
-    bit-identical (the conformance battery holds them to it), so the
-    choice never changes a result — it is deliberately excluded from
-    :func:`unit_fingerprint` and journal identity.
+    single reference trace (see
+    :func:`~repro.evalharness.experiment.evaluate_trace` for how one
+    geometry and several are replayed).
 
     ``hierarchy`` switches the unit from flat geometries to hierarchy
     scoring: each entry is a :func:`~repro.cache.hierarchy.parse_hierarchy`
@@ -92,7 +83,6 @@ class EvalUnit:
     paper_scale: bool = False
     options: object = None
     cache_configs: tuple = field(default=(DEFAULT_CACHE,))
-    engine: object = None
     hierarchy: tuple = ()
 
 
@@ -102,9 +92,7 @@ def unit_fingerprint(unit):
     Journals key completed outcomes by this, and the fault-injection
     sites key worker-level decisions by it, so a unit keeps its
     identity no matter which process (or which resumed run) evaluates
-    it.  ``unit.engine`` is deliberately *not* part of the payload:
-    engines are bit-identical, so a journal written under one engine
-    resumes correctly under another.
+    it.
     """
     options = (unit.options or CompilationOptions()).normalized()
     fields = {
@@ -126,43 +114,12 @@ def evaluate_unit(unit, artifact_cache=None, keep_trace=False):
     """Resolve one unit's artifact and score all its geometries.
 
     Returns the list of :class:`ExperimentResult`, one per entry of
-    ``unit.cache_configs``, in order.
-
-    A single-geometry unit normally scores through the reference
-    serial replay (:func:`~repro.evalharness.experiment.evaluate_trace`);
-    setting ``unit.engine`` (the ``--engine`` flag) or
-    ``REPRO_SWEEP_ENGINE`` routes even that case through the sweep
-    dispatcher so CI can force any engine end to end.  The explicit
-    unit field wins over the environment.
+    ``unit.cache_configs``, in order (hierarchy units return their
+    ``as_dict`` rows instead).
     """
     bench = get_benchmark(unit.name, unit.paper_scale)
-    options = unit.options or CompilationOptions()
-    if artifact_cache is not None:
-        artifact = artifact_cache.resolve(
-            bench.name,
-            bench.source,
-            options,
-            expected_output=bench.expected_output,
-        )
-        program = artifact.program
-        trace = artifact.trace
-        output = artifact.output
-        steps = artifact.steps
-    else:
-        program = compile_source(bench.source, options)
-        memory = RecordingMemory()
-        result = program.run(memory=memory)
-        if tuple(result.output) != tuple(bench.expected_output):
-            from repro.lang.errors import VMError
-
-            raise VMError(
-                "benchmark {} produced {} instead of {}".format(
-                    bench.name, result.output, list(bench.expected_output)
-                )
-            )
-        trace = memory.buffer
-        output = tuple(result.output)
-        steps = result.steps
+    artifact = resolve_artifact(bench.name, bench.source, unit.options,
+                                bench.expected_output, store=artifact_cache)
     if unit.hierarchy:
         from repro.cache.hierarchy import hierarchy_stats, parse_hierarchy
 
@@ -170,23 +127,11 @@ def evaluate_unit(unit, artifact_cache=None, keep_trace=False):
         rows = []
         for spec_text in unit.hierarchy:
             spec = parse_hierarchy(spec_text, base=base)
-            row = hierarchy_stats(trace, spec).as_dict()
+            row = hierarchy_stats(artifact.trace, spec).as_dict()
             row["benchmark"] = unit.name
             rows.append(row)
         return rows
-    configs = tuple(unit.cache_configs)
-    engine = unit.engine or os.environ.get("REPRO_SWEEP_ENGINE")
-    if len(configs) == 1 and not engine:
-        return [
-            evaluate_trace(
-                bench.name, program, trace, output, steps,
-                cache_config=configs[0], keep_trace=keep_trace,
-            )
-        ]
-    return evaluate_trace_multi(
-        bench.name, program, trace, output, steps, configs,
-        keep_trace=keep_trace, engine=engine,
-    )
+    return evaluate_trace(artifact, unit.cache_configs, keep_trace)
 
 
 # ----------------------------------------------------------------------

@@ -18,10 +18,10 @@ from repro.cache.cache import CacheConfig
 from repro.cache.hierarchy import hierarchy_stats, parse_hierarchy
 from repro.cache.replay import MinConfig, replay_trace
 from repro.cache.stackdist import replay_trace_sweep
+from repro.evalharness.artifacts import resolve_artifact
 from repro.evalharness.experiment import DEFAULT_CACHE, run_benchmark
 from repro.programs import BENCHMARK_NAMES, get_benchmark
-from repro.unified.pipeline import CompilationOptions, compile_source
-from repro.vm.memory import RecordingMemory
+from repro.unified.pipeline import CompilationOptions
 
 
 def _trace_for(name, paper_scale=False, options=None, artifact_cache=None):
@@ -35,19 +35,11 @@ def _trace_for(name, paper_scale=False, options=None, artifact_cache=None):
     from repro.evalharness.figure5 import figure5_options
 
     bench = get_benchmark(name, paper_scale)
-    options = options or figure5_options()
-    if artifact_cache is not None:
-        artifact = artifact_cache.resolve(
-            bench.name, bench.source, options,
-            expected_output=bench.expected_output,
-        )
-        return artifact.trace, artifact.program
-    program = compile_source(bench.source, options)
-    memory = RecordingMemory()
-    result = program.run(memory=memory)
-    assert tuple(result.output) == bench.expected_output, (
-        name, result.output, bench.expected_output)
-    return memory.buffer, program
+    artifact = resolve_artifact(
+        bench.name, bench.source, options or figure5_options(),
+        bench.expected_output, store=artifact_cache,
+    )
+    return artifact.trace, artifact.program
 
 
 def _variant(config, **overrides):
@@ -297,9 +289,10 @@ def spill_ablation(name="pressure-kernel", base=DEFAULT_CACHE,
     machine = MachineConfig(num_regs=num_regs,
                             num_caller_saved=num_regs // 2)
     if name == "pressure-kernel":
-        source = SPILL_KERNEL
+        source, expected_output = SPILL_KERNEL, None
     else:
-        source = get_benchmark(name, paper_scale).source
+        bench = get_benchmark(name, paper_scale)
+        source, expected_output = bench.source, bench.expected_output
     rows = []
     for spill_to_cache in (True, False):
         options = CompilationOptions(
@@ -308,14 +301,8 @@ def spill_ablation(name="pressure-kernel", base=DEFAULT_CACHE,
             machine=machine,
             spill_to_cache=spill_to_cache,
         )
-        if artifact_cache is not None:
-            artifact = artifact_cache.resolve(name, source, options)
-            trace = artifact.trace
-        else:
-            program = compile_source(source, options)
-            memory = RecordingMemory()
-            program.run(memory=memory)
-            trace = memory.buffer
+        trace = resolve_artifact(name, source, options, expected_output,
+                                 store=artifact_cache).trace
         stats = replay_trace(trace, base)
         summary = trace.summary()
         rows.append(

@@ -72,6 +72,54 @@ class TestRunBenchmark:
         assert len(result.trace) == result.dynamic["total"]
 
 
+def _evaluate_unit(name):
+    from repro.evalharness.parallel import EvalUnit, evaluate_unit
+
+    return evaluate_unit(EvalUnit(name=name))
+
+
+def _trace_for(name):
+    from repro.evalharness.sweeps import _trace_for
+
+    return _trace_for(name)
+
+
+def _access_time_row(name):
+    from repro.cache.timing import LatencyModel
+    from repro.evalharness.fullreport import _access_time_row
+
+    return _access_time_row(name, LatencyModel())
+
+
+#: Every caller that turns a benchmark into a trace without a store.
+TRACE_CALLERS = {
+    "evaluate_unit": _evaluate_unit,
+    "run_benchmark": run_benchmark,
+    "_trace_for": _trace_for,
+    "spill_ablation": spill_ablation,
+    "_access_time_row": _access_time_row,
+}
+
+
+@pytest.mark.parametrize("caller", sorted(TRACE_CALLERS))
+def test_wrong_expected_output_raises_vmerror(caller, monkeypatch):
+    """The output check is a real check on every no-store path, so
+    ``python -O`` cannot strip it."""
+    from dataclasses import replace
+
+    from repro.lang.errors import VMError
+    from repro.programs import registry
+
+    factory = registry._FACTORIES["queen"]
+    monkeypatch.setitem(
+        registry._FACTORIES, "queen",
+        lambda paper_scale: replace(factory(paper_scale),
+                                    expected_output=(-1,)),
+    )
+    with pytest.raises(VMError, match="instead of"):
+        TRACE_CALLERS[caller]("queen")
+
+
 class TestFigure5:
     @pytest.fixture(scope="class")
     def rows(self):

@@ -16,13 +16,13 @@ To regenerate after an *intentional* semantics change::
 and commit the refreshed ``tests/golden/figure5.json`` alongside the
 change that moved the numbers.
 
-``REPRO_GOLDEN_ENGINE`` selects which cache engine produces the
-measured table — ``cache`` (the online simulator, the default),
-``functional`` (the data-carrying twin, re-executing every benchmark
-against it), ``multi`` (the shared-decode multi-replay core),
-``stackdist`` (the scalar one-pass sweep engines) or ``vectorized``
-(the set-major array kernels).  All five must match the same golden
-file exactly; CI runs the full matrix.
+Besides the production path (:func:`figure5_table`), every scorer of
+the same traces must reproduce the golden file exactly: the per-event
+oracle (``replay_trace``), the functional twin (each benchmark
+re-executed against the data-carrying cache) and the sweep dispatcher
+forced to each of its engines (``multi``, ``stackdist``,
+``vectorized``).  Each benchmark is compiled and traced once for all
+of them.
 """
 
 import json
@@ -30,90 +30,32 @@ import os
 
 import pytest
 
-from repro.evalharness.figure5 import figure5_table
-from repro.programs import BENCHMARK_NAMES
+from repro.cache.functional import DataCachedMemory
+from repro.cache.replay import replay_trace
+from repro.cache.stackdist import replay_trace_sweep
+from repro.evalharness.artifacts import resolve_artifact
+from repro.evalharness.experiment import (
+    DEFAULT_CACHE,
+    ExperimentResult,
+    _static_bypass_checked,
+    conventional_config,
+)
+from repro.evalharness.figure5 import (
+    Figure5Row,
+    figure5_options,
+    figure5_table,
+)
+from repro.programs import BENCHMARK_NAMES, get_benchmark
 
 GOLDEN_PATH = os.path.join(
     os.path.dirname(__file__), "golden", "figure5.json"
 )
 
-GOLDEN_ENGINES = ("cache", "functional", "multi", "stackdist",
-                  "vectorized")
+#: The unified and conventional geometries behind one Figure 5 row.
+SPECS = (DEFAULT_CACHE, conventional_config(DEFAULT_CACHE))
 
-
-def functional_table():
-    """The Figure 5 rows scored by the functional twin.
-
-    Each benchmark is executed against :class:`DataCachedMemory` under
-    the unified and conventional configurations — the cache stats are
-    measured *during* execution, not replayed — and the row is
-    assembled from the same :class:`ExperimentResult` arithmetic as
-    the replay engines.
-    """
-    from repro.cache.functional import DataCachedMemory
-    from repro.evalharness.experiment import (
-        DEFAULT_CACHE,
-        ExperimentResult,
-        _static_bypass_checked,
-        conventional_config,
-    )
-    from repro.evalharness.figure5 import Figure5Row, figure5_options
-    from repro.programs import get_benchmark
-    from repro.unified.pipeline import compile_source
-    from repro.vm.memory import RecordingMemory
-
-    options = figure5_options()
-    rows = []
-    for name in BENCHMARK_NAMES:
-        program = compile_source(get_benchmark(name).source, options)
-        memory = RecordingMemory()
-        result = program.run(memory=memory)
-        stats = []
-        for config in (DEFAULT_CACHE, conventional_config(DEFAULT_CACHE)):
-            functional = DataCachedMemory(config)
-            outcome = compile_source(
-                get_benchmark(name).source, options
-            ).run(memory=functional)
-            assert tuple(outcome.output) == tuple(result.output), name
-            stats.append(functional.stats)
-        rows.append(Figure5Row.from_result(ExperimentResult(
-            name=name,
-            options=options,
-            cache_config=DEFAULT_CACHE,
-            static=program.static,
-            dynamic=memory.buffer.summary(),
-            unified_stats=stats[0],
-            conventional_stats=stats[1],
-            output=tuple(result.output),
-            steps=result.steps,
-            static_bypass_checked=_static_bypass_checked(
-                program, DEFAULT_CACHE
-            ),
-        )))
-    return rows
-
-
-def measured_table():
-    engine = os.environ.get("REPRO_GOLDEN_ENGINE", "cache")
-    if engine not in GOLDEN_ENGINES:
-        raise ValueError(
-            "REPRO_GOLDEN_ENGINE={!r} (expected one of {})".format(
-                engine, "/".join(GOLDEN_ENGINES)
-            )
-        )
-    if engine == "functional":
-        return functional_table()
-    if engine == "cache":
-        return figure5_table()
-    previous = os.environ.get("REPRO_SWEEP_ENGINE")
-    os.environ["REPRO_SWEEP_ENGINE"] = engine
-    try:
-        return figure5_table()
-    finally:
-        if previous is None:
-            del os.environ["REPRO_SWEEP_ENGINE"]
-        else:
-            os.environ["REPRO_SWEEP_ENGINE"] = previous
+SCORERS = ("replay_trace", "functional", "multi", "stackdist",
+           "vectorized")
 
 
 def row_payload(row):
@@ -127,28 +69,83 @@ def row_payload(row):
     }
 
 
+def load_golden():
+    with open(GOLDEN_PATH) as handle:
+        return json.load(handle)
+
+
 @pytest.fixture(scope="module")
-def measured():
-    rows = measured_table()
-    return {row.name: row_payload(row) for row in rows}
+def artifacts():
+    options = figure5_options()
+    out = {}
+    for name in BENCHMARK_NAMES:
+        bench = get_benchmark(name)
+        out[name] = resolve_artifact(name, bench.source, options,
+                                     bench.expected_output)
+    return out
 
 
-def test_figure5_matches_golden(measured):
+def functional_stats(artifact, config):
+    """Re-execute the program against the data-carrying twin: the
+    stats are measured during execution, not replayed."""
+    memory = DataCachedMemory(config)
+    outcome = artifact.program.run(memory=memory)
+    assert tuple(outcome.output) == artifact.output, artifact.name
+    return memory.stats
+
+
+def score(scorer, artifact):
+    """``(unified, conventional)`` stats of one artifact."""
+    if scorer == "replay_trace":
+        return [replay_trace(artifact.trace, spec) for spec in SPECS]
+    if scorer == "functional":
+        return [functional_stats(artifact, spec) for spec in SPECS]
+    return replay_trace_sweep(artifact.trace, SPECS, engine=scorer)
+
+
+def scored_payload(artifact, unified, conventional):
+    """The golden payload, assembled by the same
+    :class:`ExperimentResult` arithmetic as the production path."""
+    return row_payload(Figure5Row.from_result(ExperimentResult(
+        name=artifact.name,
+        options=artifact.program.options,
+        cache_config=DEFAULT_CACHE,
+        static=artifact.program.static,
+        dynamic=artifact.trace.summary(),
+        unified_stats=unified,
+        conventional_stats=conventional,
+        output=artifact.output,
+        steps=artifact.steps,
+        static_bypass_checked=_static_bypass_checked(
+            artifact.program, DEFAULT_CACHE
+        ),
+    )))
+
+
+def test_figure5_matches_golden():
+    measured = {row.name: row_payload(row) for row in figure5_table()}
     if os.environ.get("REPRO_REGEN_GOLDEN"):
         with open(GOLDEN_PATH, "w") as handle:
             json.dump(measured, handle, indent=2, sort_keys=True)
             handle.write("\n")
-    with open(GOLDEN_PATH) as handle:
-        golden = json.load(handle)
+    golden = load_golden()
     assert set(golden) == set(BENCHMARK_NAMES)
     # Compare exactly — these are deterministic integer-arithmetic
     # pipelines; float equality is intentional, not a tolerance bug.
     assert measured == golden
 
 
+@pytest.mark.parametrize("scorer", SCORERS)
+def test_every_scorer_matches_golden(scorer, artifacts):
+    measured = {
+        name: scored_payload(artifact, *score(scorer, artifact))
+        for name, artifact in artifacts.items()
+    }
+    assert measured == load_golden()
+
+
 def test_golden_covers_all_benchmarks():
-    with open(GOLDEN_PATH) as handle:
-        golden = json.load(handle)
+    golden = load_golden()
     assert sorted(golden) == sorted(BENCHMARK_NAMES)
     for name, values in golden.items():
         assert values["dynamic_refs"] > 0, name

@@ -15,16 +15,21 @@ To regenerate after an *intentional* semantics change::
     REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest \
         tests/test_hierarchy_golden.py -q
 
-The ambient ``REPRO_SWEEP_ENGINE`` selects the sweep engine for the
-offline hierarchy scoring; all engines must reproduce the same golden
-file exactly (CI runs the matrix).
+The offline hierarchy scoring runs through the sweep dispatcher; the
+golden file must come out exactly under its default ``auto`` routing
+and with every engine forced.  Each benchmark is compiled and traced
+once for the whole module.
 """
 
+import functools
 import json
 import os
 
 import pytest
 
+import repro.cache.hierarchy as hierarchy
+from repro.cache.stackdist import replay_trace_sweep
+from repro.evalharness.artifacts import artifact_key, resolve_artifact
 from repro.evalharness.sweeps import (
     DEFAULT_HIERARCHY,
     DEFAULT_HIERARCHY3,
@@ -39,6 +44,51 @@ MULTICORE_GOLDEN = os.path.join(GOLDEN_DIR, "multicore.json")
 
 MULTICORE_NAMES = ("intmm", "sieve")
 
+#: The engines forced on top of the unforced ``auto`` routing.
+FORCED_ENGINES = ("stackdist", "vectorized", "multi")
+
+
+class MemoStore:
+    """An in-memory artifact store: each (source, options) pair is
+    compiled and traced once, then shared by every sweep."""
+
+    def __init__(self):
+        self.artifacts = {}
+
+    def resolve(self, name, source, options, expected_output=None):
+        key = artifact_key(source, options)
+        if key not in self.artifacts:
+            self.artifacts[key] = resolve_artifact(
+                name, source, options, expected_output
+            )
+        return self.artifacts[key]
+
+
+@pytest.fixture(scope="module")
+def store():
+    return MemoStore()
+
+
+@pytest.fixture(scope="module")
+def level_memo():
+    """Memoized :func:`~repro.cache.hierarchy.filtered_trace`.
+
+    The online inner-level replays do not depend on the sweep engine,
+    so the engine tests reuse the ones the first test computed.  Each
+    entry keeps its input trace alive, which keeps the ``id`` key
+    unique.
+    """
+    memo = {}
+    real = hierarchy.filtered_trace
+
+    def filtered_trace(trace, config):
+        key = (id(trace), config)
+        if key not in memo:
+            memo[key] = (trace, real(trace, config))
+        return memo[key][1]
+
+    return filtered_trace
+
 
 def _round_floats(value):
     """Stabilize float repr across JSON round-trips (12 significant
@@ -52,11 +102,12 @@ def _round_floats(value):
     return value
 
 
-def measured_hierarchy():
+def measured_hierarchy(store):
     table = {}
     for spec in (DEFAULT_HIERARCHY, DEFAULT_HIERARCHY3):
         for name in BENCHMARK_NAMES:
-            for row in hierarchy_sweep(name, hierarchy=spec):
+            for row in hierarchy_sweep(name, hierarchy=spec,
+                                       artifact_cache=store):
                 key = "|".join([
                     spec, name, row["inclusion"], row["bypass_level"],
                 ])
@@ -64,10 +115,11 @@ def measured_hierarchy():
     return table
 
 
-def measured_multicore():
+def measured_multicore(store):
     table = {}
     for partition in ("umon", "even"):
-        for row in multicore_sweep(MULTICORE_NAMES, partition=partition):
+        for row in multicore_sweep(MULTICORE_NAMES, partition=partition,
+                                   artifact_cache=store):
             key = "|".join([
                 "+".join(MULTICORE_NAMES), partition, row["config"],
             ])
@@ -86,13 +138,27 @@ def _check(measured, path):
 
 
 @pytest.mark.slow
-def test_hierarchy_matches_golden():
-    _check(measured_hierarchy(), HIERARCHY_GOLDEN)
+def test_hierarchy_matches_golden(store, level_memo, monkeypatch):
+    monkeypatch.setattr(hierarchy, "filtered_trace", level_memo)
+    _check(measured_hierarchy(store), HIERARCHY_GOLDEN)
 
 
 @pytest.mark.slow
-def test_multicore_matches_golden():
-    _check(measured_multicore(), MULTICORE_GOLDEN)
+@pytest.mark.parametrize("engine", FORCED_ENGINES)
+def test_hierarchy_golden_under_engine(engine, store, level_memo,
+                                       monkeypatch):
+    monkeypatch.setattr(hierarchy, "filtered_trace", level_memo)
+    monkeypatch.setattr(
+        hierarchy, "replay_trace_sweep",
+        functools.partial(replay_trace_sweep, engine=engine),
+    )
+    with open(HIERARCHY_GOLDEN) as handle:
+        assert measured_hierarchy(store) == json.load(handle)
+
+
+@pytest.mark.slow
+def test_multicore_matches_golden(store):
+    _check(measured_multicore(store), MULTICORE_GOLDEN)
 
 
 def test_hierarchy_golden_covers_both_specs():

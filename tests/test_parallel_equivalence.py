@@ -14,7 +14,7 @@ from repro.cache.replay import MinConfig, replay_trace, replay_trace_multi
 from repro.evalharness.artifacts import ArtifactCache
 from repro.evalharness.experiment import (
     DEFAULT_CACHE,
-    evaluate_trace_multi,
+    evaluate_trace,
     run_benchmark,
 )
 from repro.evalharness.figure5 import figure5_table, format_figure5
@@ -143,8 +143,9 @@ class TestReplayLevelEquivalence:
             for expect, got in zip(serial + [min_serial], multi):
                 assert got.as_dict() == expect.as_dict(), name
 
-    def test_evaluate_trace_multi_matches_evaluate_trace(self,
-                                                         artifact_cache):
+    def test_evaluate_trace_routes_agree(self, artifact_cache):
+        """Several geometries go through the sweep dispatcher, one goes
+        per event; both routes give the same results."""
         from repro.programs import get_benchmark
         from repro.evalharness.figure5 import figure5_options
 
@@ -158,11 +159,10 @@ class TestReplayLevelEquivalence:
             CacheConfig(size_words=128, line_words=1, associativity=4,
                         policy="fifo"),
         )
-        multi = evaluate_trace_multi(
-            bench.name, artifact.program, artifact.trace, artifact.output,
-            artifact.steps, geometries,
-        )
-        for geometry, result in zip(geometries, multi):
+        swept = evaluate_trace(artifact, geometries)
+        for geometry, result in zip(geometries, swept):
+            (single,) = evaluate_trace(artifact, (geometry,))
+            assert canonical(result) == canonical(single)
             serial = run_benchmark(
                 "queen", options=figure5_options(), cache_config=geometry
             )

@@ -468,8 +468,8 @@ class TestFunctionalTwinZoo:
 class TestGoldenFigure5Pin:
     """The golden Figure 5 numbers through all four engines.
 
-    Two benchmarks keep the runtime proportionate; the CI matrix job
-    runs the full table per engine via ``REPRO_GOLDEN_ENGINE``.
+    Two benchmarks keep the runtime proportionate;
+    ``tests/test_figure5_golden.py`` runs the full table per engine.
     """
 
     NAMES = ("towers", "intmm")

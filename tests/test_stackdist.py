@@ -212,15 +212,6 @@ class TestEngineContract:
         trace = make_trace([(3, 0), (5, FLAG_WRITE), (3, FLAG_KILL)])
         assert_sweep_matches_serial(trace, BATTERY, engine="multi")
 
-    def test_env_var_selects_engine(self, monkeypatch):
-        config = CacheConfig(size_words=16, line_words=1, associativity=2,
-                             policy="fifo")
-        monkeypatch.setenv("REPRO_SWEEP_ENGINE", "stackdist")
-        with pytest.raises(ValueError, match="cannot profile"):
-            replay_trace_sweep(TraceBuffer(), [config])
-        monkeypatch.setenv("REPRO_SWEEP_ENGINE", "auto")
-        replay_trace_sweep(TraceBuffer(), [config])
-
     def test_supports_gating(self):
         lru = CacheConfig(size_words=16, line_words=1, associativity=2,
                           policy="lru")

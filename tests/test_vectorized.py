@@ -4,8 +4,8 @@ The contract under test mirrors ``tests/test_stackdist.py`` one level
 down: :func:`repro.cache.vectorized.vector_profile_pass` must rebuild
 the scalar profiler's :class:`StackDistanceProfile` **bit-identically**
 — same totals, same histograms, same reconstructed ``CacheStats`` for
-every associativity — whether the NumPy kernel, the pure-Python twin,
-or the scalar fallback ends up doing the work.  The geometry battery
+every associativity — whether the NumPy kernel or the scalar fallback
+ends up doing the work.  The geometry battery
 deliberately includes the degenerate shapes (one set, one way, lines
 wider than the address range) where segmented-scan bugs hide.
 """
@@ -127,17 +127,6 @@ class TestKernelSelection:
         assert info["kernel"] == "numpy"
         assert _profile_stats(got, 4) == _profile_stats(want, 4)
 
-    def test_python_twin_reported_and_identical(self, monkeypatch):
-        import repro.cache.vectorized as vectorized
-
-        monkeypatch.setattr(vectorized, "_np", None)
-        columns = self._columns()
-        info = {}
-        got = vector_profile_pass(columns, self.FLAVOR, 4, 4, info=info)
-        want = profile_pass(columns, self.FLAVOR, 4, 4)
-        assert info["kernel"] == "python"
-        assert _profile_stats(got, 4) == _profile_stats(want, 4)
-
     def test_oversize_assoc_cap_delegates_to_scalar(self):
         columns = self._columns()
         info = {}
@@ -186,11 +175,21 @@ class TestDispatch:
             assert got.as_dict() == want.as_dict()
 
     def test_forced_vectorized_without_numpy(self, monkeypatch):
-        """With NumPy gone the dispatcher still honors the forced
-        engine through the pure-Python twin, bit-identically."""
+        """With NumPy gone the forced vectorized pass delegates to the
+        scalar profiler, bit-identically."""
         import repro.cache.vectorized as vectorized
 
         monkeypatch.setattr(vectorized, "_np", None)
+        kernels = []
+        original = vectorized.vector_profile_pass
+
+        def recording(*args, **kwargs):
+            info = {}
+            profile = original(*args, info=info, **kwargs)
+            kernels.append(info["kernel"])
+            return profile
+
+        monkeypatch.setattr(vectorized, "vector_profile_pass", recording)
         trace = make_trace([(a, f) for a in (0, 3, 1, 0, 3)
                             for f in (0, FLAG_WRITE, FLAG_KILL)])
         configs = [
@@ -199,15 +198,8 @@ class TestDispatch:
             for a in (1, 2, 4)
         ]
         _assert_identical(trace, configs, "vectorized")
+        assert kernels and set(kernels) == {"stackdist"}
 
     def test_empty_trace(self):
         _assert_identical(TraceBuffer(), BATTERY, "vectorized")
 
-    def test_env_var_selects_vectorized(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SWEEP_ENGINE", "vectorized")
-        trace = make_trace([(3, 0), (5, FLAG_WRITE), (3, 0)])
-        config = CacheConfig(size_words=16, line_words=1, associativity=2,
-                             policy="lru")
-        swept = replay_trace_sweep(trace, [config])
-        want = replay_trace(trace, config)
-        assert swept[0].as_dict() == want.as_dict()
