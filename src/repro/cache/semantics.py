@@ -32,15 +32,28 @@ differential fuzzer and the equivalence batteries in
 enforce it.
 """
 
+from functools import lru_cache
 from itertools import repeat as _repeat
 
 from repro.cache.stats import CacheStats
 from repro.vm.trace import FLAG_BYPASS, FLAG_KILL, FLAG_WRITE
 
-try:  # NumPy is an accelerator, never a requirement.
-    import numpy as _np
-except Exception:  # pragma: no cover - exercised only off-image
-    _np = None
+
+@lru_cache(maxsize=None)
+def _numpy():
+    """NumPy, imported on first call; ``None`` when it is not importable.
+
+    NumPy is an accelerator, never a requirement, and the per-event
+    paths (Figure 5's single-geometry replay) never touch an array, so
+    the import waits for the first array-side helper that needs it
+    instead of being paid by every process that loads this module.
+    """
+    try:
+        import numpy
+    except Exception:  # pragma: no cover - exercised only off-image
+        return None
+    return numpy
+
 
 _INFINITY = float("inf")
 
@@ -80,9 +93,10 @@ def decode_trace(trace):
 def flag_presence(columns):
     """Does the trace carry any bypass / kill bits at all?"""
     _addresses, flags = columns
-    if _np is not None and isinstance(flags, _np.ndarray):
+    np = _numpy()
+    if np is not None and isinstance(flags, np.ndarray):
         present = int(
-            _np.bitwise_or.reduce(flags) if len(flags) else 0
+            np.bitwise_or.reduce(flags) if len(flags) else 0
         )
     else:
         present = 0
@@ -143,9 +157,10 @@ def flavor_decode(columns, flavor):
     addresses, flags = columns
     line_words, honor_bypass, honor_kill, _write_policy = flavor
     stream = FlavorStream()
-    if _np is not None:
-        a = _np.asarray(addresses, dtype=_np.int64)
-        f = _np.asarray(flags, dtype=_np.int64)
+    np = _numpy()
+    if np is not None:
+        a = np.asarray(addresses, dtype=np.int64)
+        f = np.asarray(flags, dtype=np.int64)
         blocks = a if line_words == 1 else a // line_words
         w = f & FLAG_WRITE
         y = (f & FLAG_BYPASS) >> 1 if honor_bypass else 0
@@ -160,7 +175,7 @@ def flavor_decode(columns, flavor):
         stream.types_np = types
         stream._blocks_list = None
         stream._types_list = None
-        counts = _np.bincount(types, minlength=7).tolist()
+        counts = np.bincount(types, minlength=7).tolist()
     else:
         stream.blocks_np = None
         stream.types_np = None
@@ -243,32 +258,33 @@ def next_use_index(trace, line_words=1, honor_bypass=True):
     one index serves every MIN configuration of a sweep that shares
     them.
     """
-    if _np is not None and hasattr(trace, "to_columns"):
+    np = _numpy()
+    if np is not None and hasattr(trace, "to_columns"):
         addresses, flags = trace.to_columns()
         n = len(addresses)
         if n == 0:
             return []
-        a = _np.asarray(addresses, dtype=_np.int64)
+        a = np.asarray(addresses, dtype=np.int64)
         blocks = a if line_words == 1 else a // line_words
         if honor_bypass:
-            f = _np.asarray(flags, dtype=_np.int64)
-            cached = _np.flatnonzero((f & FLAG_BYPASS) == 0)
+            f = np.asarray(flags, dtype=np.int64)
+            cached = np.flatnonzero((f & FLAG_BYPASS) == 0)
         else:
-            cached = _np.arange(n)
-        out = _np.full(n, -1.0)
+            cached = np.arange(n)
+        out = np.full(n, -1.0)
         if len(cached):
             cb = blocks[cached]
-            order = _np.argsort(cb, kind="stable")
+            order = np.argsort(cb, kind="stable")
             sorted_blocks = cb[order]
             sorted_indices = cached[order]
             # Within a block group the stable sort keeps time order,
             # so each event's next use is simply its right neighbor.
-            nxt = _np.empty(len(cached))
+            nxt = np.empty(len(cached))
             if len(cached) > 1:
                 same = sorted_blocks[1:] == sorted_blocks[:-1]
-                nxt[:-1] = _np.where(same, sorted_indices[1:], _np.inf)
-            nxt[-1] = _np.inf
-            unsorted = _np.empty(len(cached))
+                nxt[:-1] = np.where(same, sorted_indices[1:], np.inf)
+            nxt[-1] = np.inf
+            unsorted = np.empty(len(cached))
             unsorted[order] = nxt
             out[cached] = unsorted
         return out.tolist()
@@ -328,22 +344,23 @@ def collapse_runs(blocks, types, num_sets, order=None):
     events (``TraceBuffer.set_partition``); passing it skips the sort
     here so one partition serves every flavor of a geometry.
     """
-    if _np is None or len(blocks) == 0:
+    np = _numpy()
+    if np is None or len(blocks) == 0:
         return _collapse_runs_py(blocks, types, num_sets)
-    b = blocks if isinstance(blocks, _np.ndarray) else _np.asarray(blocks)
-    t = _np.asarray(types, dtype=_np.int64)
+    b = blocks if isinstance(blocks, np.ndarray) else np.asarray(blocks)
+    t = np.asarray(types, dtype=np.int64)
     n = len(b)
     sets = b % num_sets
     if order is None:
-        order = _np.argsort(sets, kind="stable")
+        order = np.argsort(sets, kind="stable")
     sb = b[order]
     st = t[order]
     ss = sets[order]
-    same_set = _np.empty(n, dtype=bool)
+    same_set = np.empty(n, dtype=bool)
     same_set[0] = False
     same_set[1:] = ss[1:] == ss[:-1]
     plain = st <= EV_PLAIN_WRITE
-    follower = _np.empty(n, dtype=bool)
+    follower = np.empty(n, dtype=bool)
     follower[0] = False
     follower[1:] = (
         same_set[1:]
@@ -358,26 +375,26 @@ def collapse_runs(blocks, types, num_sets, order=None):
     # Runs are contiguous in set-sorted order and time-ordered inside
     # (the stable sort never reorders one set's events), so each run
     # spans from its head up to the position before the next head.
-    head_ids = _np.cumsum(keep_sorted) - 1
+    head_ids = np.cumsum(keep_sorted) - 1
     heads = int(keep_sorted.sum())
     follower_write_mask = follower & (st == EV_PLAIN_WRITE)
-    wrote = _np.bincount(head_ids[follower_write_mask], minlength=heads) > 0
+    wrote = np.bincount(head_ids[follower_write_mask], minlength=heads) > 0
     head_indices = order[keep_sorted]
-    head_pos = _np.flatnonzero(keep_sorted)
-    last_pos = _np.empty(heads, dtype=head_pos.dtype)
+    head_pos = np.flatnonzero(keep_sorted)
+    last_pos = np.empty(heads, dtype=head_pos.dtype)
     last_pos[:-1] = head_pos[1:] - 1
     last_pos[-1] = n - 1
     last_orig = order[last_pos]
     # Back to time order by scattering through raw-index space (O(n),
     # cheaper than re-sorting the head indices).
-    keep_raw = _np.zeros(n, dtype=bool)
+    keep_raw = np.zeros(n, dtype=bool)
     keep_raw[head_indices] = True
-    wrote_raw = _np.zeros(n, dtype=bool)
+    wrote_raw = np.zeros(n, dtype=bool)
     wrote_raw[head_indices] = wrote
-    last_raw = _np.empty(n, dtype=last_orig.dtype)
+    last_raw = np.empty(n, dtype=last_orig.dtype)
     last_raw[head_indices] = last_orig
     runs = CollapsedRuns()
-    runs.indices = _np.flatnonzero(keep_raw)
+    runs.indices = np.flatnonzero(keep_raw)
     runs.indices_list = runs.indices.tolist()
     runs.run_writes = wrote_raw[runs.indices].tolist()
     runs.last_indices = last_raw[runs.indices].tolist()
@@ -412,8 +429,9 @@ def collapse_runs_sorted(blocks, types, num_sets, order):
     partition's set-major layout and always includes the gathered
     block/type/set columns, even when nothing collapses.
     """
-    b = blocks if isinstance(blocks, _np.ndarray) else _np.asarray(blocks)
-    t = _np.asarray(types, dtype=_np.int64)
+    np = _numpy()
+    b = blocks if isinstance(blocks, np.ndarray) else np.asarray(blocks)
+    t = np.asarray(types, dtype=np.int64)
     n = len(b)
     runs = SortedRuns()
     runs.follower_reads = runs.follower_writes = runs.collapsed = 0
@@ -421,16 +439,16 @@ def collapse_runs_sorted(blocks, types, num_sets, order):
         runs.blocks = b
         runs.types = t
         runs.sets = b
-        runs.run_writes = _np.zeros(0, dtype=bool)
+        runs.run_writes = np.zeros(0, dtype=bool)
         return runs
     sb = b[order]
     st = t[order]
     ss = sb % num_sets
-    same_set = _np.empty(n, dtype=bool)
+    same_set = np.empty(n, dtype=bool)
     same_set[0] = False
     same_set[1:] = ss[1:] == ss[:-1]
     plain = st <= EV_PLAIN_WRITE
-    follower = _np.empty(n, dtype=bool)
+    follower = np.empty(n, dtype=bool)
     follower[0] = False
     follower[1:] = (
         same_set[1:]
@@ -443,17 +461,17 @@ def collapse_runs_sorted(blocks, types, num_sets, order):
         runs.blocks = sb
         runs.types = st
         runs.sets = ss
-        runs.run_writes = _np.zeros(n, dtype=bool)
+        runs.run_writes = np.zeros(n, dtype=bool)
         return runs
     keep = ~follower
-    head_ids = _np.cumsum(keep) - 1
+    head_ids = np.cumsum(keep) - 1
     heads = int(keep.sum())
     follower_write_mask = follower & (st == EV_PLAIN_WRITE)
     runs.blocks = sb[keep]
     runs.types = st[keep]
     runs.sets = ss[keep]
     runs.run_writes = (
-        _np.bincount(head_ids[follower_write_mask], minlength=heads) > 0
+        np.bincount(head_ids[follower_write_mask], minlength=heads) > 0
     )
     runs.follower_writes = int(follower_write_mask.sum())
     runs.follower_reads = collapsed - runs.follower_writes
@@ -587,12 +605,13 @@ def signature_column(trace):
     to :func:`make_policy` for the signature-indexed policies (SHiP,
     Hawkeye).  Uses the columnar decode when NumPy is available.
     """
-    if _np is not None:
+    np = _numpy()
+    if np is not None:
         columns = getattr(trace, "to_columns", None)
         if columns is not None:
             _addresses, flags = columns()
-            return _np.bitwise_and(
-                _np.asarray(flags, dtype=_np.int64), SIGNATURE_MASK
+            return np.bitwise_and(
+                np.asarray(flags, dtype=np.int64), SIGNATURE_MASK
             ).tolist()
     return [flags & SIGNATURE_MASK for _address, flags in trace]
 
@@ -1848,7 +1867,7 @@ def min_sweep(stream, num_sets, assocs, line_words, kill_mode,
     # vectorized where NumPy holds the columns) so the per-lane walk
     # does no arithmetic or index chasing of its own.
     if runs is not None:
-        if _np is not None and stream.blocks_np is not None:
+        if stream.blocks_np is not None:
             eb = stream.blocks_np[runs.indices]
             events = list(zip(
                 eb.tolist(),
@@ -1869,7 +1888,7 @@ def min_sweep(stream, num_sets, assocs, line_words, kill_mode,
             ]
         collapsed = runs.collapsed
     else:
-        if _np is not None and stream.blocks_np is not None:
+        if stream.blocks_np is not None:
             set_indices = (stream.blocks_np % num_sets).tolist()
         else:
             set_indices = [b % num_sets for b in stream.blocks_list]

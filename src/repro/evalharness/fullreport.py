@@ -135,6 +135,24 @@ def hierarchy_table_rows(rows):
     return header, table_rows
 
 
+def hierarchy_units(hierarchy, names):
+    """E16's evaluation units: one per benchmark, each scoring the
+    four inclusion x bypass-level specs of ``hierarchy`` on one trace."""
+    from repro.evalharness.figure5 import figure5_options
+    from repro.evalharness.parallel import EvalUnit
+
+    specs = tuple(
+        "{},{},bypass={}".format(hierarchy, inclusion, bypass_level)
+        for inclusion in ("non-inclusive", "inclusive")
+        for bypass_level in ("l1", "both")
+    )
+    return [
+        EvalUnit(name=name, options=figure5_options(),
+                 cache_configs=(DEFAULT_CACHE,), hierarchy=specs)
+        for name in names
+    ]
+
+
 def hierarchy_section(hierarchy, names, failures=None, artifact_cache=None,
                       jobs=None, journal=None):
     """E16: which level do bypassed references skip?
@@ -146,23 +164,13 @@ def hierarchy_section(hierarchy, names, failures=None, artifact_cache=None,
     supervised pool (``jobs`` fans them out; ``journal`` checkpoints
     them alongside the Figure 5 units).
     """
-    from repro.evalharness.figure5 import figure5_options
-    from repro.evalharness.parallel import EvalUnit, run_units
+    from repro.evalharness.parallel import run_units
 
     lines = [_heading("E16  Cache hierarchy: bypass-level ablation "
                       "({})".format(hierarchy))]
-    specs = tuple(
-        "{},{},bypass={}".format(hierarchy, inclusion, bypass_level)
-        for inclusion in ("non-inclusive", "inclusive")
-        for bypass_level in ("l1", "both")
-    )
-    units = [
-        EvalUnit(name=name, options=figure5_options(),
-                 cache_configs=(DEFAULT_CACHE,), hierarchy=specs)
-        for name in names
-    ]
     unit_results = run_units(
-        units, jobs=jobs, artifact_cache=artifact_cache,
+        hierarchy_units(hierarchy, names), jobs=jobs,
+        artifact_cache=artifact_cache,
         failures=failures, section="hierarchy", journal=journal,
     )
     rows = [

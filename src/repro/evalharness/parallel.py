@@ -125,9 +125,10 @@ def evaluate_unit(unit, artifact_cache=None, keep_trace=False):
 
         base = unit.cache_configs[0] if unit.cache_configs else None
         rows = []
+        filters = {}
         for spec_text in unit.hierarchy:
             spec = parse_hierarchy(spec_text, base=base)
-            row = hierarchy_stats(artifact.trace, spec).as_dict()
+            row = hierarchy_stats(artifact.trace, spec, filters).as_dict()
             row["benchmark"] = unit.name
             rows.append(row)
         return rows

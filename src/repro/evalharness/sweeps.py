@@ -379,13 +379,14 @@ def hierarchy_sweep(
     """
     trace, _program = _trace_for(name, paper_scale, options, artifact_cache)
     rows = []
+    filters = {}
     for inclusion in inclusions:
         for bypass_level in bypass_levels:
             spec = parse_hierarchy(
                 hierarchy, base=base,
                 inclusion=inclusion, bypass_level=bypass_level,
             )
-            row = hierarchy_stats(trace, spec).as_dict()
+            row = hierarchy_stats(trace, spec, filters).as_dict()
             row["benchmark"] = name
             rows.append(row)
     return rows

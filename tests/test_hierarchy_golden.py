@@ -30,6 +30,8 @@ import pytest
 import repro.cache.hierarchy as hierarchy
 from repro.cache.stackdist import replay_trace_sweep
 from repro.evalharness.artifacts import artifact_key, resolve_artifact
+from repro.evalharness.fullreport import hierarchy_units
+from repro.evalharness.parallel import evaluate_unit
 from repro.evalharness.sweeps import (
     DEFAULT_HIERARCHY,
     DEFAULT_HIERARCHY3,
@@ -154,6 +156,34 @@ def test_hierarchy_golden_under_engine(engine, store, level_memo,
     )
     with open(HIERARCHY_GOLDEN) as handle:
         assert measured_hierarchy(store) == json.load(handle)
+
+
+@pytest.mark.slow
+def test_e16_filters_l1_once_per_benchmark(store, monkeypatch):
+    """E16's two non-inclusive specs share their L1, so each
+    benchmark's unit replays that L1 filter once, not once per spec,
+    and the section's rows still match the golden pins."""
+    calls = []
+    real = hierarchy.filtered_trace
+
+    def counting(trace, config):
+        calls.append(id(trace))
+        return real(trace, config)
+
+    monkeypatch.setattr(hierarchy, "filtered_trace", counting)
+    with open(HIERARCHY_GOLDEN) as handle:
+        golden = json.load(handle)
+    for unit in hierarchy_units(DEFAULT_HIERARCHY, BENCHMARK_NAMES):
+        del calls[:]
+        rows = evaluate_unit(unit, artifact_cache=store)
+        assert len(calls) == 1, unit.name
+        assert len(rows) == 4
+        for row in rows:
+            key = "|".join([
+                DEFAULT_HIERARCHY, unit.name, row["inclusion"],
+                row["bypass_level"],
+            ])
+            assert _round_floats(row) == golden[key]
 
 
 @pytest.mark.slow

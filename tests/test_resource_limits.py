@@ -110,6 +110,29 @@ class TestTraceBuffer:
         with pytest.raises(ResourceExhausted):
             program.run(memory=memory)
 
+    def test_fused_vm_raises_exactly_at_the_ninth_event(self):
+        from repro.unified.pipeline import CompilationOptions
+
+        program = compile_source(
+            "int g; int main() { int i;"
+            " for (i = 0; i < 100; i = i + 1) { g = i; }"
+            " return g; }",
+            CompilationOptions(promotion="none"),
+        )
+        full = RecordingMemory()
+        program.run(memory=full)
+        assert len(full.buffer) > 9
+        memory = RecordingMemory(max_events=8)
+        vm = program.machine(memory=memory)
+        assert vm._fast_handlers is not None  # the fused table runs
+        with pytest.raises(ResourceExhausted, match="trace buffer"):
+            vm.run()
+        assert list(memory.buffer) == list(full.buffer)[:8]
+        # A cap the whole trace fits under never fires.
+        exact = RecordingMemory(max_events=len(full.buffer))
+        program.run(memory=exact)
+        assert list(exact.buffer) == list(full.buffer)
+
 
 class TestRunKwargs:
     def test_max_steps_flows_through_run(self):
